@@ -63,7 +63,7 @@ func run() error {
 	fs := flag.NewFlagSet("deepszd", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	budgetStr := fs.String("mem-budget", "0", "decode-cache byte budget with optional k/m/g suffix (0 = unlimited)")
-	maxBatch := fs.Int("max-batch", 32, "rows that trigger an immediate micro-batch flush")
+	maxBatch := fs.Int("max-batch", 32, "rows at which a micro-batch stops taking queued requests")
 	maxPending := fs.Int("max-pending", 256, "per-model cap on predicts admitted at once; overflow is shed with 503 (0 = unlimited)")
 	maxBodyStr := fs.String("max-body-bytes", "8m", "predict request body cap with optional k/m/g suffix; overflow is refused with 413 (0 = the 8m default, not unlimited)")
 	sparseThreshold := fs.Float64("sparse-threshold", serve.DefaultSparseThreshold,
@@ -74,7 +74,6 @@ func run() error {
 	verifyDecoded := fs.Bool("verify-decoded", false, "checksum every decoded layer at cache fill and re-verify before each use, ejecting rot (extends the encoder's criticality-marked coverage to all layers)")
 	scrubInterval := fs.Duration("scrub-interval", 0, "background integrity sweep period: re-checksum resident cache entries and retry quarantined models whose artifact changed on disk (0 = off)")
 	evictionPolicy := fs.String("eviction-policy", "lru", "decode-cache replacement policy: lru or gdsf (decode-cost per byte, frequency-scaled, aged)")
-	window := fs.Duration("batch-window", 2*time.Millisecond, "how long the first request waits for batch company")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
@@ -120,7 +119,7 @@ func run() error {
 		return err
 	}
 
-	reg := serve.NewRegistry(budget, serve.BatchOptions{MaxBatch: *maxBatch, Window: *window, MaxPending: *maxPending})
+	reg := serve.NewRegistry(budget, serve.BatchOptions{MaxBatch: *maxBatch, MaxPending: *maxPending})
 	defer reg.Close()
 	if err := reg.SetEvictionPolicy(policy); err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -60,13 +61,21 @@ func TestServeUntilDoneDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A wide batch window parks the predict inside the daemon long enough
-	// for shutdown to start underneath it.
-	reg := serve.NewRegistry(0, serve.BatchOptions{Window: 400 * time.Millisecond, MaxBatch: 64})
+	reg := serve.NewRegistry(0, serve.BatchOptions{})
 	defer reg.Close()
 	if _, err := reg.Add("mlp", m, netw, []int{1, 8, 8}); err != nil {
 		t.Fatal(err)
 	}
+	// The gate: claim the decode flight of the model's first layer in the
+	// cold cache. The predict's forward pass joins that flight and sleeps
+	// on it until release aborts it (the pass then decodes the layer
+	// itself) — so the predict is provably mid-forward, inside the daemon,
+	// for as long as the test wants.
+	_, release := reg.Cache().BeginPrefetch("mlp/ip1", nil)
+	if release == nil {
+		t.Fatal("decode cache not cold")
+	}
+	held := func() bool { return reg.Cache().Stats().Coalesced == 1 }
 
 	srv := cliutil.NewHTTPServer(serve.NewServer(reg))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -76,23 +85,9 @@ func TestServeUntilDoneDrainsInFlight(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- cliutil.ServeUntilDone(ctx, srv, ln, 5*time.Second) }()
+	go func() { done <- cliutil.ServeUntilDone(ctx, srv, ln, 30*time.Second) }()
 
-	// Wait until the daemon answers.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never came up: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Put one predict in flight (it sits in the 400ms batch window).
+	// Put one predict in flight; it stops at the gate.
 	row := make([]float32, 64)
 	tensor.NewRNG(6).FillNormal(row, 0, 1)
 	body, _ := json.Marshal(struct {
@@ -117,25 +112,27 @@ func TestServeUntilDoneDrainsInFlight(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&pr)
 		inFlight <- result{code: resp.StatusCode, outputs: len(pr.Outputs), err: err}
 	}()
+	await(t, "the predict to reach the gate", held)
 
-	// Let the predict reach the batcher, then begin shutdown under it.
-	time.Sleep(100 * time.Millisecond)
+	// Begin shutdown under it. New connections are refused once the
+	// listener closes; the poll covers the handoff between cancel() and
+	// Shutdown's listener close.
 	cancel()
-
-	// New connections are refused once the listener closes. The poll
-	// covers the handoff between cancel() and Shutdown's listener close.
-	refusedBy := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err != nil {
-			break // refused: the drain no longer accepts new connections
+	await(t, "new connections to be refused", func() bool {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err == nil {
+			conn.Close()
 		}
-		resp.Body.Close()
-		if time.Now().After(refusedBy) {
-			t.Fatal("new connections still accepted during drain")
-		}
-		time.Sleep(5 * time.Millisecond)
+		return err != nil
+	})
+	select {
+	case r := <-inFlight:
+		t.Fatalf("predict answered (%+v) while its forward pass was held: it was not in flight during shutdown", r)
+	case err := <-done:
+		t.Fatalf("ServeUntilDone returned (%v) with a predict still in flight", err)
+	default:
 	}
+	release()
 
 	// The in-flight predict must have completed normally.
 	r := <-inFlight
@@ -152,5 +149,18 @@ func TestServeUntilDoneDrainsInFlight(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("serveUntilDone never returned after drain")
+	}
+}
+
+// await spins (yielding, not sleeping) until cond holds; the deadline only
+// turns a hang into a failure.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
 	}
 }

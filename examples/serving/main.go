@@ -84,7 +84,7 @@ func main() {
 // concurrent clients, prints the stats, and returns the argmax of a fixed
 // probe batch for cross-budget comparison.
 func runBudget(label string, budget int64, m *core.Model, skeleton *nn.Network) ([]int, error) {
-	reg := serve.NewRegistry(budget, serve.BatchOptions{MaxBatch: 32, Window: 2 * time.Millisecond})
+	reg := serve.NewRegistry(budget, serve.BatchOptions{})
 	defer reg.Close()
 	shape, err := models.InputShape(m.NetName)
 	if err != nil {

@@ -265,10 +265,14 @@ func TestChaosBlobRotRecovers(t *testing.T) {
 		_, quarantined := reg.Quarantined(models.LeNet300)
 		return !quarantined
 	})
-	before := s.Requests
+	before := *s
 	Waves(1, 4, 4, func() { s.Count(predictOutcome(ts.URL, models.LeNet300, body, want)) }, nil)
-	if s.OKAnswers < before { // every post-recovery request must be OK
-		t.Fatalf("post-recovery wave not clean: %+v", s)
+	// The wave's own delta: 16 sent, 16 OK, nothing wrong or failed. (How
+	// many of the earlier requests hit the quarantine depends on when the
+	// reload landed, so cumulative totals prove nothing here.)
+	if sent, ok := s.Requests-before.Requests, s.OKAnswers-before.OKAnswers; sent != 16 || ok != 16 ||
+		s.Wrong != before.Wrong || s.Failed != before.Failed {
+		t.Fatalf("post-recovery wave not clean: %d of %d OK; before %+v, after %+v", ok, sent, before, *s)
 	}
 	if _, reloads, _ := reg.ReloadStats(); reloads == 0 {
 		t.Fatal("model recovered without a recorded reload")

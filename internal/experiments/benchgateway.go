@@ -173,10 +173,7 @@ func BenchGatewayPoint(n int) (GatewayPoint, error) {
 	regs := make([]*serve.Registry, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		// MaxBatch = the load's request size: each request flushes
-		// immediately instead of idling in the 2ms batch window, so the
-		// measurement is decode/cache economics, not batcher latency.
-		reg := serve.NewRegistry(budget, serve.BatchOptions{MaxBatch: gwRowsPerRequest})
+		reg := serve.NewRegistry(budget, serve.BatchOptions{})
 		for j := range mods {
 			if _, err := reg.Add(fmt.Sprintf("m%d", j), mods[j], nets[j], []int{gwInputLen}); err != nil {
 				reg.Close()

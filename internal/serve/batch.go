@@ -15,12 +15,9 @@ var ErrClosed = errors.New("serve: engine closed")
 // BatchOptions tunes the micro-batcher and the per-engine admission
 // bound.
 type BatchOptions struct {
-	// MaxBatch is the row count that triggers an immediate flush
-	// (default 32).
+	// MaxBatch is the row count at which a batch stops taking queued
+	// requests (default 32).
 	MaxBatch int
-	// Window is how long the first request in a batch waits for company
-	// before flushing anyway (default 2ms).
-	Window time.Duration
 	// MaxPending caps the predict calls admitted per engine at once
 	// (queued in the batcher plus running). A call over the cap fails
 	// immediately with ErrOverloaded — shedding with a clear signal the
@@ -29,27 +26,21 @@ type BatchOptions struct {
 	MaxPending int
 }
 
-func (o *BatchOptions) fill() {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 32
-	}
-	if o.Window <= 0 {
-		o.Window = 2 * time.Millisecond
-	}
-}
-
-// batcher folds concurrent predict calls into shared forward passes: the
-// first arrival opens a batch window; requests landing inside it ride the
-// same matmul. One batch is in flight at a time per engine — while a
-// forward runs, new arrivals accumulate for the next one, which is what
-// makes the cache's singleflight path hot under bursts.
+// batcher folds concurrent predict calls into shared forward passes and is
+// work-conserving: it never waits for company. One batch is in flight at a
+// time per engine; calls that arrive while a forward runs queue up, and the
+// next batch is whatever queued meanwhile, oldest first, up to MaxBatch
+// rows. Batch size so follows load by itself: an idle engine serves a lone
+// call at kernel latency, a saturated one fills every batch.
 type batcher struct {
-	engine   *Engine
-	opt      BatchOptions
-	reqs     chan batchReq
-	quit     chan struct{}
-	done     chan struct{}
-	quitOnce sync.Once
+	engine *Engine
+	opt    BatchOptions
+	done   chan struct{} // closed when loop has returned
+
+	mu     sync.Mutex
+	wake   sync.Cond  // on mu: a request was queued, or closed was set
+	queue  []batchReq // submitted and not yet taken, in submission order
+	closed bool
 }
 
 type batchReq struct {
@@ -59,87 +50,91 @@ type batchReq struct {
 	submitAt time.Time        // when the caller entered submit
 }
 
-// pendingReq is a batchReq the loop has accepted, stamped with when: the
-// submit→accept gap is StageQueue (waiting behind the previous batch),
-// accept→flush is StageBatchWait (window residency).
-type pendingReq struct {
-	batchReq
-	acceptAt time.Time
-}
-
 type batchResp struct {
 	out [][]float32
 	err error
 }
 
 func newBatcher(e *Engine, opt BatchOptions) *batcher {
-	opt.fill()
-	b := &batcher{
-		engine: e,
-		opt:    opt,
-		reqs:   make(chan batchReq),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+	if opt.MaxBatch <= 0 {
+		opt.MaxBatch = 32
 	}
+	b := &batcher{engine: e, opt: opt, done: make(chan struct{})}
+	b.wake.L = &b.mu
 	go b.loop()
 	return b
 }
 
 func (b *batcher) submit(rows [][]float32, tr *telemetry.Trace) ([][]float32, error) {
 	resp := make(chan batchResp, 1)
-	select {
-	case b.reqs <- batchReq{rows: rows, resp: resp, tr: tr, submitAt: time.Now()}:
-	case <-b.quit:
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
 		return nil, ErrClosed
 	}
+	b.queue = append(b.queue, batchReq{rows: rows, resp: resp, tr: tr, submitAt: time.Now()})
+	b.mu.Unlock()
+	b.wake.Signal()
 	r := <-resp
 	return r.out, r.err
 }
 
+// close stops the loop after the batch in flight, fails every call still
+// queued with ErrClosed, and returns once the loop goroutine is gone.
 func (b *batcher) close() {
-	b.quitOnce.Do(func() { close(b.quit) })
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.wake.Signal()
 	<-b.done
 }
 
 func (b *batcher) loop() {
 	defer close(b.done)
-	for {
-		var first batchReq
-		select {
-		case first = <-b.reqs:
-		case <-b.quit:
-			return
-		}
-		batch := []pendingReq{{batchReq: first, acceptAt: time.Now()}}
-		n := len(first.rows)
-		timer := time.NewTimer(b.opt.Window)
-	fill:
-		for n < b.opt.MaxBatch {
-			select {
-			case req := <-b.reqs:
-				batch = append(batch, pendingReq{batchReq: req, acceptAt: time.Now()})
-				n += len(req.rows)
-			case <-timer.C:
-				break fill
-			case <-b.quit:
-				timer.Stop()
-				b.flush(batch)
-				return
-			}
-		}
-		timer.Stop()
+	for batch := b.take(); batch != nil; batch = b.take() {
 		b.flush(batch)
 	}
+}
+
+// take blocks until a call is queued, then takes the next batch off the
+// head of the queue — the oldest call whole, then further ones while the
+// batch is under MaxBatch rows — never waiting for a call that has not
+// arrived. Once closed it fails whatever is queued (resp is buffered: the
+// sends cannot block under the lock) and returns nil.
+func (b *batcher) take() []batchReq {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for len(b.queue) == 0 && !b.closed {
+		b.wake.Wait()
+	}
+	if b.closed {
+		for _, req := range b.queue {
+			req.resp <- batchResp{err: ErrClosed}
+		}
+		b.queue = nil
+		return nil
+	}
+	n := 0
+	for rows := 0; n < len(b.queue) && rows < b.opt.MaxBatch; n++ {
+		rows += len(b.queue[n].rows)
+	}
+	batch := b.queue[:n:n]
+	if b.queue = b.queue[n:]; len(b.queue) == 0 {
+		b.queue = nil // let the drained array die with its batch
+	}
+	return batch
 }
 
 // flush runs one forward pass over every request in the batch and splits
 // the result rows back out in submission order. A panic in the forward
 // pass fails the batch instead of killing the batcher goroutine (and with
 // it the whole daemon — unlike HTTP handler goroutines, nothing above us
-// recovers). Per-request queue/batch-wait timings and the shared forward
-// stage split are charged to each request's trace before its response is
-// released, so callers never race the instrumentation.
-func (b *batcher) flush(batch []pendingReq) {
+// recovers). Each request's queue time (submit → here: it waited behind
+// the previous forward) and the shared forward stage split are charged to
+// its trace before its response is released, so callers never race the
+// instrumentation. Nothing waits for company, so batch_wait is always zero;
+// the stage stays so dashboards and parsers keep their column.
+func (b *batcher) flush(batch []batchReq) {
 	flushAt := time.Now()
 	e := b.engine
 	rows := make([][]float32, 0, len(batch))
@@ -151,20 +146,17 @@ func (b *batcher) flush(batch []pendingReq) {
 	for i := range batch {
 		req := &batch[i]
 		rows = append(rows, req.rows...)
-		queued := req.acceptAt.Sub(req.submitAt)
-		waited := flushAt.Sub(req.acceptAt)
+		queued := flushAt.Sub(req.submitAt)
 		req.tr.Add(telemetry.StageQueue, queued)
-		req.tr.Add(telemetry.StageBatchWait, waited)
+		e.stageHist[telemetry.StageBatchWait].Observe(0)
 		if req.tr.Recording() {
 			record = true
 			if exemplarID == "" {
 				exemplarID = req.tr.ID
 			}
 			e.stageHist[telemetry.StageQueue].ObserveExemplar(queued.Seconds(), req.tr.ID)
-			e.stageHist[telemetry.StageBatchWait].ObserveExemplar(waited.Seconds(), req.tr.ID)
 		} else {
 			e.stageHist[telemetry.StageQueue].Observe(queued.Seconds())
-			e.stageHist[telemetry.StageBatchWait].Observe(waited.Seconds())
 		}
 	}
 	out, st, evs, err := func() (out [][]float32, st fwdStages, evs []telemetry.LayerEvent, err error) {

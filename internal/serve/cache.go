@@ -530,6 +530,15 @@ func (c *DecodeCache) unpinFunc(ent *cacheEntry) func() {
 		once.Do(func() {
 			c.mu.Lock()
 			ent.pins--
+			// An insert that found everything pinned overshot the budget;
+			// the pins that blocked it pay the eviction back as they go.
+			for c.budget > 0 && c.bytes > c.budget {
+				victim := c.victimLocked()
+				if victim == nil {
+					break
+				}
+				c.evictLocked(victim)
+			}
 			c.mu.Unlock()
 		})
 	}
@@ -612,8 +621,8 @@ func (c *DecodeCache) insertLocked(key string, layer *core.DecodedLayer, cost, d
 		victim := c.victimLocked()
 		if victim == nil {
 			// Everything resident is pinned by running kernels. A demand
-			// insert overshoots transiently (the pins release when those
-			// kernels finish); a speculative one is dropped instead.
+			// insert overshoots until the first of those pins releases
+			// (unpinFunc trims back); a speculative one is dropped instead.
 			if prefetch {
 				c.admissionDrops++
 				c.prefetchWaste++
@@ -630,17 +639,7 @@ func (c *DecodeCache) insertLocked(key string, layer *core.DecodedLayer, cost, d
 			}
 			return nil
 		}
-		c.removeLocked(victim)
-		c.evictions++
-		if victim.prefetched {
-			c.prefetchWaste++
-		}
-		if c.policy == EvictGDSF && victim.prio > c.agingL {
-			// Classic GreedyDual aging: the floor rises to the evicted
-			// priority, so long-resident entries must keep earning hits to
-			// stay above newcomers.
-			c.agingL = victim.prio
-		}
+		c.evictLocked(victim)
 	}
 	c.entries[key] = ent
 	switch c.policy {
@@ -687,6 +686,22 @@ func (c *DecodeCache) victimLocked() *cacheEntry {
 		}
 	}
 	return nil
+}
+
+// evictLocked removes victim to make room and accounts for it. Caller
+// owns c.mu.
+func (c *DecodeCache) evictLocked(victim *cacheEntry) {
+	c.removeLocked(victim)
+	c.evictions++
+	if victim.prefetched {
+		c.prefetchWaste++
+	}
+	if c.policy == EvictGDSF && victim.prio > c.agingL {
+		// Classic GreedyDual aging: the floor rises to the evicted
+		// priority, so long-resident entries must keep earning hits to
+		// stay above newcomers.
+		c.agingL = victim.prio
+	}
 }
 
 // removeLocked detaches ent from every index and returns its bytes.

@@ -164,6 +164,36 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheUnpinTrimsOvershoot: a demand insert that finds every resident
+// entry pinned overshoots the budget, and the overshoot ends with the pins —
+// not with whatever insert happens to come next.
+func TestCacheUnpinTrimsOvershoot(t *testing.T) {
+	for _, policy := range []EvictionPolicy{EvictLRU, EvictGDSF} {
+		const cost = 400
+		c := NewDecodeCacheWith(cost, policy)
+		decode := func() (*core.DecodedLayer, int64, error) { return fakeLayer(cost), cost, nil }
+		_, releaseA, err := c.GetPinned("a", decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, releaseB, err := c.GetPinned("b", decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Stats(); s.BytesInUse != 2*cost {
+			t.Fatalf("%v: pinned residents must not be evicted: %+v", policy, s)
+		}
+		releaseA()
+		if s := c.Stats(); s.BytesInUse != cost || s.Evictions != 1 {
+			t.Fatalf("%v: first unpin left the cache over budget: %+v", policy, s)
+		}
+		releaseB()
+		if s := c.Stats(); s.BytesInUse != cost || s.Entries != 1 {
+			t.Fatalf("%v: at rest: %+v", policy, s)
+		}
+	}
+}
+
 func TestCacheConcurrentStress(t *testing.T) {
 	const (
 		goroutines = 16

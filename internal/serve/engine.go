@@ -439,14 +439,8 @@ func (st fwdStages) addTo(tr *telemetry.Trace) {
 // observe records the pass in the engine's per-stage histograms.
 // exemplarID, when non-empty, is a sampled rider's trace ID: it lands as
 // the bucket exemplar so a dashboard's slow-decode bucket links to a
-// retrievable trace. Unsampled passes take the exemplar-free path.
+// retrievable trace; empty, ObserveExemplar is a plain Observe.
 func (st fwdStages) observe(e *Engine, exemplarID string) {
-	if exemplarID == "" {
-		e.stageHist[telemetry.StageCacheLookup].Observe(st.lookup.Seconds())
-		e.stageHist[telemetry.StageDecode].Observe(st.decode.Seconds())
-		e.stageHist[telemetry.StageKernel].Observe(st.kernel.Seconds())
-		return
-	}
 	e.stageHist[telemetry.StageCacheLookup].ObserveExemplar(st.lookup.Seconds(), exemplarID)
 	e.stageHist[telemetry.StageDecode].ObserveExemplar(st.decode.Seconds(), exemplarID)
 	e.stageHist[telemetry.StageKernel].ObserveExemplar(st.kernel.Seconds(), exemplarID)
@@ -495,8 +489,8 @@ func (e *Engine) PredictTraced(rows [][]float32, tr *telemetry.Trace) ([][]float
 	return out, err
 }
 
-// PredictBatched is Predict through the micro-batcher: concurrent callers
-// within the batch window share one forward pass.
+// PredictBatched is Predict through the micro-batcher: callers that queue
+// while the previous forward runs share the next one.
 func (e *Engine) PredictBatched(rows [][]float32) ([][]float32, error) {
 	return e.PredictBatchedTraced(rows, nil)
 }

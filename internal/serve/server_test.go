@@ -9,9 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/models"
@@ -205,9 +203,12 @@ func TestBatcherRecoversForwardPanic(t *testing.T) {
 	}
 }
 
+// TestMicroBatchingCoalesces: calls that arrive while a forward runs share
+// the next one. One call is held mid-forward, seven queue behind it, and
+// the eight are served by exactly two passes.
 func TestMicroBatchingCoalesces(t *testing.T) {
 	net, m := servedModel(t, 7)
-	reg := NewRegistry(0, BatchOptions{MaxBatch: 64, Window: 250 * time.Millisecond})
+	reg := NewRegistry(0, BatchOptions{MaxBatch: 64})
 	defer reg.Close()
 	e, err := reg.Add("mlp", m, net, []int{1, 8, 8})
 	if err != nil {
@@ -216,28 +217,23 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 	rows := testRows(8, 8)
 	want := decodedReference(t, net, m, rows)
 
+	release := holdForward(t, e)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	got := make([][]float32, len(rows))
-	for i := range rows {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := e.PredictBatched([][]float32{rows[i]})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			got[i] = out[0]
-			mu.Unlock()
-		}(i)
+	calls := []*call{startCall(&wg, e, rows[:1])}
+	awaitHeld(t, e)
+	for i := 1; i < len(rows); i++ {
+		calls = append(calls, startCall(&wg, e, rows[i:i+1]))
 	}
+	await(t, "seven calls to queue behind the held forward", func() bool { return queued(e) == 7 })
+	release()
 	wg.Wait()
-	for i := range want {
+	for i, c := range calls {
+		if c.err != nil {
+			t.Fatalf("call %d: %v", i, c.err)
+		}
 		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("batched row %d logit %d: %v, want %v", i, j, got[i][j], want[i][j])
+			if c.out[0][j] != want[i][j] {
+				t.Fatalf("batched row %d logit %d: %v, want %v", i, j, c.out[0][j], want[i][j])
 			}
 		}
 	}
@@ -245,8 +241,8 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 	if s.Requests != 8 || s.Rows != 8 {
 		t.Fatalf("stats %+v, want 8 requests / 8 rows", s)
 	}
-	if s.Batches >= s.Requests {
-		t.Fatalf("no coalescing: %d batches for %d requests (window should merge them)", s.Batches, s.Requests)
+	if s.Batches != 2 {
+		t.Fatalf("%d batches for 1 held + 7 queued requests, want exactly 2", s.Batches)
 	}
 
 	e.Close()
@@ -518,32 +514,29 @@ func TestServerErrors(t *testing.T) {
 // shed counter report what happened.
 func TestEngineAdmissionSheds(t *testing.T) {
 	net, m := servedModel(t, 31)
-	// A wide batch window keeps the first predict parked in the batcher
-	// long enough for the second to arrive while it is still pending.
-	reg := NewRegistry(0, BatchOptions{MaxPending: 1, Window: 300 * time.Millisecond, MaxBatch: 64})
+	reg := NewRegistry(0, BatchOptions{MaxPending: 1})
 	defer reg.Close()
 	e, err := reg.Add("mlp", m, net, []int{1, 8, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := testRows(1, 32)
+	// Hold the first predict mid-forward, so the second provably arrives
+	// while it is still pending.
+	release := holdForward(t, e)
 	first := make(chan error, 1)
 	go func() {
 		_, err := e.PredictBatched(rows)
 		first <- err
 	}()
-	// Wait until the first predict is admitted (gauge visible), then
-	// overflow the bound.
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Stats().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first predict never showed up in the queue-depth gauge")
-		}
-		time.Sleep(time.Millisecond)
+	awaitHeld(t, e)
+	if d := e.Stats().QueueDepth; d != 1 {
+		t.Fatalf("queue depth %d with one predict running, want 1", d)
 	}
 	if _, err := e.Predict(rows); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("predict over the admission bound: %v, want ErrOverloaded", err)
 	}
+	release()
 	if err := <-first; err != nil {
 		t.Fatalf("admitted predict failed: %v", err)
 	}
@@ -565,51 +558,56 @@ func TestEngineAdmissionSheds(t *testing.T) {
 // still succeed.
 func TestServerShedsWith503RetryAfter(t *testing.T) {
 	net, m := servedModel(t, 33)
-	reg := NewRegistry(0, BatchOptions{MaxPending: 1, Window: 200 * time.Millisecond, MaxBatch: 64})
-	if _, err := reg.Add("mlp", m, net, []int{1, 8, 8}); err != nil {
+	reg := NewRegistry(0, BatchOptions{MaxPending: 1})
+	e, err := reg.Add("mlp", m, net, []int{1, 8, 8})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewServer(reg))
 	t.Cleanup(func() { ts.Close(); reg.Close() })
 
 	body, _ := json.Marshal(predictRequest{Inputs: testRows(1, 34)})
-	const clients = 4
-	var ok, shed atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/models/mlp/predict", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				ok.Add(1)
-			case http.StatusServiceUnavailable:
-				if resp.Header.Get("Retry-After") == "" {
-					t.Error("503 without a Retry-After hint")
-				}
-				shed.Add(1)
-			default:
-				t.Errorf("unexpected status %d", resp.StatusCode)
-			}
-		}()
+	// post returns the status and Retry-After of one predict (0 on a
+	// transport error).
+	post := func() (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/models/mlp/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0, ""
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Retry-After")
 	}
-	wg.Wait()
-	if ok.Load() < 1 || shed.Load() < 1 || ok.Load()+shed.Load() != clients {
-		t.Fatalf("ok=%d shed=%d, want at least one of each summing to %d", ok.Load(), shed.Load(), clients)
+	// Hold the admitted predict mid-forward: every predict sent meanwhile
+	// is over the bound and must be shed.
+	release := holdForward(t, e)
+	admitted := make(chan int, 1)
+	go func() {
+		code, _ := post()
+		admitted <- code
+	}()
+	awaitHeld(t, e)
+	const overflow = 3
+	for i := 0; i < overflow; i++ {
+		code, retryAfter := post()
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("predict %d over the bound: status %d, want 503", i, code)
+		}
+		if retryAfter == "" {
+			t.Fatal("503 without a Retry-After hint")
+		}
+	}
+	release()
+	if code := <-admitted; code != http.StatusOK {
+		t.Fatalf("admitted predict: status %d, want 200", code)
 	}
 	var stats statsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
 	ms := stats.Models["mlp"]
-	if ms.Shed != uint64(shed.Load()) || ms.MaxPending != 1 {
-		t.Fatalf("engine stats %+v, want shed=%d max_pending=1", ms, shed.Load())
+	if ms.Shed != overflow || ms.MaxPending != 1 {
+		t.Fatalf("engine stats %+v, want shed=%d max_pending=1", ms, overflow)
 	}
 	if stats.InFlight != 0 || ms.QueueDepth != 0 {
 		t.Fatalf("gauges in_flight=%d queue_depth=%d at rest, want 0/0", stats.InFlight, ms.QueueDepth)

@@ -23,11 +23,12 @@ type Stage int
 
 const (
 	// StageQueue is admission queueing: from the moment a predict is
-	// admitted until the micro-batcher accepts it (this includes waiting
-	// behind a batch that is currently being collected or flushed).
+	// admitted until its batch's forward starts — the wait behind the
+	// previous batch's forward pass, ~zero on an idle engine.
 	StageQueue Stage = iota
-	// StageBatchWait is batch-window residency: accepted into a forming
-	// batch, waiting for company or the window timer.
+	// StageBatchWait was residency in the batch window. The batcher never
+	// waits for company, so it is always 0; the stage stays so headers,
+	// histograms and parsers keep their column.
 	StageBatchWait
 	// StageCacheLookup is time inside decode-cache lookups that is not
 	// decoding: hit bookkeeping, and waiting on another caller's
