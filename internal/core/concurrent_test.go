@@ -36,7 +36,7 @@ func TestDecodeLayerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				name := names[(g+r)%len(names)]
-				dl, err := m.DecodeLayer(name)
+				dl, err := m.DecodeLayer(name, 0)
 				if err != nil {
 					errs <- err
 					return
@@ -67,7 +67,7 @@ func TestDecodeLayerConcurrent(t *testing.T) {
 
 	// The model is untouched: a final decode still matches the reference.
 	for name, ref := range byName {
-		dl, err := m.DecodeLayer(name)
+		dl, err := m.DecodeLayer(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

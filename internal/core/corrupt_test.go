@@ -152,7 +152,7 @@ func TestForgedCRCRejectedAtDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resealed stream rejected at Unmarshal: %v", err)
 	}
-	_, err = mm.DecodeLayer(l0.Name)
+	_, err = mm.DecodeLayer(l0.Name, 0)
 	if err == nil {
 		t.Fatal("forged blob CRC not caught at decode")
 	}
@@ -186,7 +186,7 @@ func TestDecodedChecksumCatchesBlobConsistentFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("consistent forgery rejected at Unmarshal: %v", err)
 	}
-	_, err = mm.DecodeLayer(l0.Name)
+	_, err = mm.DecodeLayer(l0.Name, 0)
 	if err == nil {
 		t.Fatal("blob-consistent fault not caught")
 	}

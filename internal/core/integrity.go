@@ -99,41 +99,73 @@ func DecodedChecksum(weights, bias []float32) uint32 {
 	return updateF32(crc, bias)
 }
 
-// updateF32 folds vals into crc through a fixed scratch buffer, so
-// checksumming a multi-megabyte layer allocates nothing.
-func updateF32(crc uint32, vals []float32) uint32 {
-	var buf [4096]byte
-	n := 0
+// crcWords folds a stream of little-endian 32-bit words into a CRC32C
+// through a fixed scratch buffer, so checksumming a multi-megabyte layer
+// allocates nothing and costs a crc32.Update per 4 KB, not per word. The
+// buffer is kept zero beyond n, which makes a short run of zero words —
+// the common case between two surviving weights — a bare advance of n.
+type crcWords struct {
+	crc uint32
+	n   int
+	buf [4096]byte
+}
+
+// zeroPage is what crcWords feeds for runs of zero words longer than the
+// scratch buffer has room for.
+var zeroPage [4096]byte
+
+func (w *crcWords) flush() {
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[:w.n])
+	clear(w.buf[:w.n])
+	w.n = 0
+}
+
+func (w *crcWords) word(u uint32) {
+	if w.n == len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint32(w.buf[w.n:], u)
+	w.n += 4
+}
+
+// zeros folds count zero words — a pruned run of the dense tensor, which
+// the decode walk checksums without ever materialising it.
+func (w *crcWords) zeros(count int) {
+	nb := 4 * count
+	if nb <= len(w.buf)-w.n {
+		w.n += nb
+		return
+	}
+	w.flush()
+	for ; nb > len(zeroPage); nb -= len(zeroPage) {
+		w.crc = crc32.Update(w.crc, castagnoli, zeroPage[:])
+	}
+	w.crc = crc32.Update(w.crc, castagnoli, zeroPage[:nb])
+}
+
+// f32s folds vals as float32 bits and returns the running checksum.
+func (w *crcWords) f32s(vals []float32) uint32 {
 	for _, v := range vals {
-		binary.LittleEndian.PutUint32(buf[n:], math.Float32bits(v))
-		n += 4
-		if n == len(buf) {
-			crc = crc32.Update(crc, castagnoli, buf[:n])
-			n = 0
-		}
+		w.word(math.Float32bits(v))
 	}
-	if n > 0 {
-		crc = crc32.Update(crc, castagnoli, buf[:n])
-	}
-	return crc
+	w.flush()
+	return w.crc
+}
+
+// updateF32 folds vals into crc.
+func updateF32(crc uint32, vals []float32) uint32 {
+	w := crcWords{crc: crc}
+	return w.f32s(vals)
 }
 
 // updateI32 is updateF32 for int32 slices (CSR row pointers).
 func updateI32(crc uint32, vals []int32) uint32 {
-	var buf [4096]byte
-	n := 0
+	w := crcWords{crc: crc}
 	for _, v := range vals {
-		binary.LittleEndian.PutUint32(buf[n:], uint32(v))
-		n += 4
-		if n == len(buf) {
-			crc = crc32.Update(crc, castagnoli, buf[:n])
-			n = 0
-		}
+		w.word(uint32(v))
 	}
-	if n > 0 {
-		crc = crc32.Update(crc, castagnoli, buf[:n])
-	}
-	return crc
+	w.flush()
+	return w.crc
 }
 
 // Checksum returns the CRC32C over the layer's resident representation —

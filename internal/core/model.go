@@ -620,14 +620,14 @@ func generateLayer(cl nn.Compressible, c Choice, cfg Config) (LayerBlob, error) 
 type DecodeBreakdown struct {
 	Lossless    time.Duration // index-array lossless decompression
 	Lossy       time.Duration // data-array lossy decompression
-	Reconstruct time.Duration // sparse-to-dense reconstruction
+	Reconstruct time.Duration // two-array → dense or CSR reconstruction, decoded checksum included
 }
 
-// DecodedLayer is one reconstructed layer. Decode always produces the
-// dense form; Compact may convert a sufficiently sparse layer to CSR in
-// place, after which Weights is nil and Sparse holds the matrix (rows =
-// Shape[0], cols = the product of the remaining dimensions — the layout
-// every forward kernel consumes).
+// DecodedLayer is one reconstructed layer, in one of two forms: dense
+// (Weights set) or CSR (Sparse set; rows = Shape[0], cols = the product of
+// the remaining dimensions — the layout every forward kernel consumes).
+// Decode and StreamDecode always produce the dense form; DecodeLayer picks
+// the form by density, during the decode itself.
 type DecodedLayer struct {
 	Name    string
 	Kind    nn.LayerKind
@@ -635,6 +635,9 @@ type DecodedLayer struct {
 	Weights []float32   // dense, flat (product of Shape entries); nil when Sparse is set
 	Sparse  *tensor.CSR // CSR form; nil when dense
 	Bias    []float32
+	// Density is the fraction of nonzero weights, counted by the decode
+	// that produced the layer (zero on a hand-assembled one).
+	Density float64
 }
 
 // Decode reverses Generate with one worker per CPU: lossless-decompress the
@@ -669,7 +672,7 @@ func (m *Model) DecodeWith(workers int) ([]DecodedLayer, DecodeBreakdown, error)
 				if failed.Load() {
 					continue
 				}
-				dl, lbd, err := decodeLayerBlob(&m.Layers[li])
+				dl, lbd, err := decodeLayerBlob(&m.Layers[li], 0)
 				out[li], errs[li] = dl, err
 				if err != nil {
 					failed.Store(true)
@@ -700,13 +703,15 @@ func (m *Model) DecodeWith(workers int) ([]DecodedLayer, DecodeBreakdown, error)
 	return out, bd, nil
 }
 
-// decodeLayerBlob reconstructs one layer and times each stage. On
-// checksummed layers every stored blob's CRC is verified before its
-// decompressor touches the bytes, and the decoded checksum (when the
-// layer carries one) is verified after reconstruction — so a corrupt
-// blob, a mismatched structure, or a decode-path fault all surface as a
-// CorruptError naming the layer and the surface, never as wrong weights.
-func decodeLayerBlob(l *LayerBlob) (DecodedLayer, DecodeBreakdown, error) {
+// decodeLayerBlob reconstructs one layer and times each stage; the layer
+// comes back as CSR when its density is below sparseBelow and dense
+// otherwise (always dense for sparseBelow <= 0). On checksummed layers
+// every stored blob's CRC is verified before its decompressor touches the
+// bytes, and the decoded checksum (when the layer carries one) is verified
+// during reconstruction — so a corrupt blob, a mismatched structure, or a
+// decode-path fault all surface as a CorruptError naming the layer and the
+// surface, never as wrong weights.
+func decodeLayerBlob(l *LayerBlob, sparseBelow float64) (DecodedLayer, DecodeBreakdown, error) {
 	var bd DecodeBreakdown
 	t0 := time.Now()
 	if l.Checksummed {
@@ -751,26 +756,18 @@ func decodeLayerBlob(l *LayerBlob) (DecodedLayer, DecodeBreakdown, error) {
 		return DecodedLayer{}, bd, &CorruptError{Layer: l.Name, Kind: CorruptBlob,
 			Detail: fmt.Sprintf("%d data values for %d indices", len(data), len(idx))}
 	}
-	sp := &prune.Sparse{N: l.WeightCount(), Data: data, Index: idx}
-	dense, err := sp.Decode()
-	if err != nil {
-		return DecodedLayer{}, bd, &CorruptError{Layer: l.Name, Kind: CorruptBlob,
-			Detail: err.Error()}
+	dl := DecodedLayer{
+		Name:  l.Name,
+		Kind:  l.Kind,
+		Shape: append([]int(nil), l.Shape...),
+		Bias:  append([]float32(nil), l.Bias...),
 	}
+	err = dl.reconstruct(l, idx, data, sparseBelow)
 	bd.Reconstruct = time.Since(t2)
-	if l.HasDecodedCRC {
-		if got := DecodedChecksum(dense, l.Bias); got != l.DecodedCRC {
-			return DecodedLayer{}, bd, &CorruptError{Layer: l.Name, Kind: CorruptDecoded,
-				Detail: fmt.Sprintf("decoded checksum %08x, stream says %08x", got, l.DecodedCRC)}
-		}
+	if err != nil {
+		return DecodedLayer{}, bd, err
 	}
-	return DecodedLayer{
-		Name:    l.Name,
-		Kind:    l.Kind,
-		Shape:   append([]int(nil), l.Shape...),
-		Weights: dense,
-		Bias:    append([]float32(nil), l.Bias...),
-	}, bd, nil
+	return dl, bd, nil
 }
 
 // Apply loads decoded weights into net's compressible layers (matched by

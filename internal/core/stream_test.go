@@ -20,7 +20,7 @@ func TestDecodeLayerMatchesFullDecode(t *testing.T) {
 		t.Fatalf("LayerNames %v vs %d decoded layers", names, len(full))
 	}
 	for i, name := range names {
-		single, err := m.DecodeLayer(name)
+		single, err := m.DecodeLayer(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestDecodeLayerMatchesFullDecode(t *testing.T) {
 func TestDecodeLayerUnknown(t *testing.T) {
 	net := prunedMLP(21)
 	m, _ := Generate(net, simplePlan(net, 1e-2), Config{ExpectedAccuracyLoss: 0.01})
-	if _, err := m.DecodeLayer("nope"); err == nil {
+	if _, err := m.DecodeLayer("nope", 0); err == nil {
 		t.Fatal("expected error for unknown layer")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -130,16 +131,30 @@ type BenchReport struct {
 	StageLatency []StageQuantiles `json:"stage_latency"`
 }
 
-// timeOp measures steady-state ns/op of f over a ~120ms window.
-func timeOp(f func()) float64 {
-	f() // warm caches and pools
-	t0 := time.Now()
-	n := 0
-	for time.Since(t0) < 120*time.Millisecond {
-		f()
-		n++
+// timePair measures steady-state ns/op of a and b in alternating ~10 ms
+// rounds and returns each side's fastest round. The two numbers end up in
+// one ratio, and on a shared runner a neighbour's CPU burst lasts longer
+// than a kernel call: timed in two back-to-back windows it lands on one
+// side only and moves the ratio, whereas a burst can only slow a round,
+// never speed one up, so the minimum over interleaved rounds discards it.
+func timePair(a, b func()) (aNs, bNs float64) {
+	round := func(f func()) float64 {
+		t0 := time.Now()
+		n := 0
+		for time.Since(t0) < 10*time.Millisecond {
+			f()
+			n++
+		}
+		return float64(time.Since(t0).Nanoseconds()) / float64(n)
 	}
-	return float64(time.Since(t0).Nanoseconds()) / float64(n)
+	a() // warm caches and pools
+	b()
+	aNs, bNs = math.Inf(1), math.Inf(1)
+	for i := 0; i < 12; i++ {
+		aNs = math.Min(aNs, round(a))
+		bNs = math.Min(bNs, round(b))
+	}
+	return aNs, bNs
 }
 
 // Sparsify zeroes all but roughly density of w, deterministically — the
@@ -167,8 +182,9 @@ func benchKernel() []KernelPoint {
 		w := append([]float32(nil), d.W.W.Data...)
 		Sparsify(rng, w, density)
 		csr := tensor.CSRFromDense(w, out, in)
-		denseNs := timeOp(func() { d.ForwardWith(x, w, nil) })
-		csrNs := timeOp(func() { d.ForwardSparse(x, csr, nil) })
+		denseNs, csrNs := timePair(
+			func() { d.ForwardWith(x, w, nil) },
+			func() { d.ForwardSparse(x, csr, nil) })
 		points = append(points, KernelPoint{
 			Density:      density,
 			DenseNsOp:    denseNs,
@@ -205,8 +221,9 @@ func benchKernelScaling() KernelScaling {
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
 		p := KernelScalingPoint{Procs: procs}
-		p.DenseNsOp = timeOp(func() { d.ForwardWith(x, w, nil) })
-		p.CSRNsOp = timeOp(func() { d.ForwardSparse(x, csr, nil) })
+		p.DenseNsOp, p.CSRNsOp = timePair(
+			func() { d.ForwardWith(x, w, nil) },
+			func() { d.ForwardSparse(x, csr, nil) })
 		p.DenseRowsSec = batch * 1e9 / p.DenseNsOp
 		p.CSRRowsSec = batch * 1e9 / p.CSRNsOp
 		if procs == 1 {

@@ -193,7 +193,12 @@ func Encode(data []uint32) []byte {
 	for _, s := range data {
 		freq[s]++
 	}
-	lengths := codeLengths(freq)
+	return encodeWith(data, codeLengths(freq))
+}
+
+// encodeWith writes data under the canonical code of the given lengths, which
+// must cover every symbol in data.
+func encodeWith(data []uint32, lengths map[uint32]uint8) []byte {
 	syms, codes := canonicalCodes(lengths)
 
 	w := bitstream.NewWriter()
@@ -214,22 +219,40 @@ func Encode(data []uint32) []byte {
 	return out
 }
 
+// lutBits is the widest lookahead the single-level decode table resolves in
+// one probe. SZ quantisation codes, byte alphabets and cluster indices put
+// nearly all of their probability mass on codes this short; 2^11 entries
+// (16 KB) stay in L1 beside the payload.
+const lutBits = 11
+
+// lutEntry resolves one lookahead pattern: the symbol whose code is a prefix
+// of it and that code's length. len 0 marks a pattern no code of at most
+// lutBits bits matches.
+type lutEntry struct {
+	sym uint32
+	len uint8
+}
+
 // decodeTable is a canonical-Huffman decoding structure: for each code length
 // it stores the first code value and the index of the first symbol of that
-// length in the (length, symbol)-sorted symbol list.
+// length in the (length, symbol)-sorted symbol list, plus a lookup table over
+// the next payload bits for the codes short enough to fit it.
 type decodeTable struct {
 	syms      []uint32
 	firstCode [MaxCodeLen + 2]uint32
 	firstSym  [MaxCodeLen + 2]int
 	count     [MaxCodeLen + 2]int
 	maxLen    uint8
+	lut       [1 << lutBits]lutEntry
+	lutShift  uint // 64 − min(maxLen, lutBits): buf>>lutShift indexes lut
 }
 
-func buildDecodeTable(syms []uint32, lengths []uint8) (*decodeTable, error) {
-	t := &decodeTable{syms: syms}
+// build fills the zero-valued t for the given length table.
+func (t *decodeTable) build(syms []uint32, lengths []uint8) error {
+	t.syms = syms
 	for _, l := range lengths {
 		if l == 0 || l > MaxCodeLen {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		t.count[l]++
 		if l > t.maxLen {
@@ -244,19 +267,65 @@ func buildDecodeTable(syms []uint32, lengths []uint8) (*decodeTable, error) {
 		code = (code + uint32(t.count[l])) << 1
 		idx += t.count[l]
 	}
-	return t, nil
+	// The table spans min(maxLen, lutBits) bits, so a small alphabet (a few
+	// hundred weights of a conv layer) does not pay for 2^lutBits entries.
+	// Fill it shortest code first and never overwrite, so on a forged
+	// over-subscribed length table, where a short code is also the prefix
+	// of a longer one, a probe answers what walk answers: the shortest
+	// match.
+	bits := uint(t.maxLen)
+	if bits > lutBits {
+		bits = lutBits
+	}
+	t.lutShift = 64 - bits
+	for l := uint(1); l <= bits; l++ {
+		for j := 0; j < t.count[l]; j++ {
+			c := t.firstCode[l] + uint32(j)
+			if c >= 1<<l {
+				continue // forged table: not an l-bit value, no payload can match it
+			}
+			e := lutEntry{sym: syms[t.firstSym[l]+j], len: uint8(l)}
+			for i := c << (bits - l); i < (c+1)<<(bits-l); i++ {
+				if t.lut[i].len == 0 {
+					t.lut[i] = e
+				}
+			}
+		}
+	}
+	return nil
 }
 
-// Decode reverses Encode.
-func Decode(blob []byte) ([]uint32, error) {
-	if len(blob) < 8 {
-		return nil, ErrCorrupt
+// walk resolves the code at the top of buf, of which the leading nbits are
+// payload, by the canonical first-code comparison one length at a time. It
+// serves what the lookup table cannot: codes longer than lutBits, and the
+// payload's tail, where fewer bits remain than a probe assumes.
+func (t *decodeTable) walk(buf uint64, nbits uint) (sym uint32, l uint, err error) {
+	for l = 1; l <= uint(t.maxLen) && l <= nbits; l++ {
+		d := uint32(buf>>(64-l)) - t.firstCode[l]
+		if t.count[l] > 0 && d < uint32(t.count[l]) {
+			return t.syms[t.firstSym[l]+int(d)], l, nil
+		}
 	}
-	n := binary.LittleEndian.Uint32(blob[0:4])
+	if nbits > uint(t.maxLen) {
+		return 0, 0, fmt.Errorf("%w: code longer than table", ErrCorrupt)
+	}
+	return 0, 0, fmt.Errorf("%w: truncated payload", ErrCorrupt)
+}
+
+// readHeader validates a blob's framing and returns its symbol count and
+// bit payload, after building the decoding structure for its length table
+// into the zero-valued t (which the caller keeps on its stack: at 16 KB it
+// would cost a small stream more to allocate than to decode). An empty
+// stream (n = 0) carries no table worth building and leaves t untouched.
+func readHeader(blob []byte, t *decodeTable) (n int, payload []byte, err error) {
+	if len(blob) < 8 {
+		return 0, nil, ErrCorrupt
+	}
+	count := binary.LittleEndian.Uint32(blob[0:4])
 	m := binary.LittleEndian.Uint32(blob[4:8])
 	off := 8
 	if len(blob) < off+int(m)*5+4 {
-		return nil, ErrCorrupt
+		return 0, nil, ErrCorrupt
 	}
 	syms := make([]uint32, m)
 	lengths := make([]uint8, m)
@@ -268,24 +337,35 @@ func Decode(blob []byte) ([]uint32, error) {
 	payloadLen := binary.LittleEndian.Uint32(blob[off : off+4])
 	off += 4
 	if len(blob) < off+int(payloadLen) {
-		return nil, ErrCorrupt
+		return 0, nil, ErrCorrupt
+	}
+	if count == 0 {
+		return 0, nil, nil
+	}
+	if m == 0 {
+		return 0, nil, ErrCorrupt
+	}
+	// Every symbol costs at least one payload bit; a count beyond that is a
+	// forged header (and would otherwise drive a huge allocation).
+	if uint64(count) > uint64(payloadLen)*8 {
+		return 0, nil, fmt.Errorf("%w: symbol count %d exceeds payload capacity", ErrCorrupt, count)
+	}
+	if err := t.build(syms, lengths); err != nil {
+		return 0, nil, err
+	}
+	return int(count), blob[off : off+int(payloadLen)], nil
+}
+
+// Decode reverses Encode.
+func Decode(blob []byte) ([]uint32, error) {
+	var table decodeTable
+	n, payload, err := readHeader(blob, &table)
+	if err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		return []uint32{}, nil
 	}
-	if m == 0 {
-		return nil, ErrCorrupt
-	}
-	// Every symbol costs at least one payload bit; a count beyond that is a
-	// forged header (and would otherwise drive a huge allocation).
-	if uint64(n) > uint64(payloadLen)*8 {
-		return nil, fmt.Errorf("%w: symbol count %d exceeds payload capacity", ErrCorrupt, n)
-	}
-	table, err := buildDecodeTable(syms, lengths)
-	if err != nil {
-		return nil, err
-	}
-	r := bitstream.NewReader(blob[off : off+int(payloadLen)])
 	// n is attacker-controlled (bounded only by payloadLen*8, and callers
 	// like the LZ stage can present large payloads); cap the preallocation
 	// and let append grow toward the real symbol count.
@@ -294,24 +374,39 @@ func Decode(blob []byte) ([]uint32, error) {
 		prealloc = 1 << 20
 	}
 	out := make([]uint32, 0, prealloc)
-	for len(out) < int(n) {
-		var code uint32
-		var l uint8
-		for {
-			b, err := r.ReadBit()
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated payload", ErrCorrupt)
-			}
-			code = code<<1 | b
-			l++
-			if l > table.maxLen {
-				return nil, fmt.Errorf("%w: code longer than table", ErrCorrupt)
-			}
-			if table.count[l] > 0 && code-table.firstCode[l] < uint32(table.count[l]) {
-				out = append(out, table.syms[table.firstSym[l]+int(code-table.firstCode[l])])
-				break
+	// buf holds the next payload bits MSB-first from bit 63 down; nbits of
+	// them are counted as loaded, and pos is the first payload byte not yet
+	// counted. Below the counted bits buf is zero or, after an 8-byte load,
+	// a preview of payload[pos], which the next load ORs over itself.
+	var buf uint64
+	var nbits uint
+	pos := 0
+	shift := table.lutShift & 63
+	for len(out) < n {
+		if nbits < MaxCodeLen+1 {
+			if pos+8 <= len(payload) {
+				buf |= binary.BigEndian.Uint64(payload[pos:]) >> nbits
+				pos += int(63-nbits) >> 3
+				nbits |= 56
+			} else {
+				for ; nbits <= 56 && pos < len(payload); pos++ {
+					buf |= uint64(payload[pos]) << (56 - nbits)
+					nbits += 8
+				}
 			}
 		}
+		e := table.lut[(buf>>shift)&(1<<lutBits-1)]
+		sym, l := e.sym, uint(e.len)
+		if l == 0 || l > nbits {
+			// Still under MaxCodeLen+1 bits after a refill means the
+			// payload is exhausted, so walk sees exactly what remains.
+			if sym, l, err = table.walk(buf, nbits); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, sym)
+		buf <<= l
+		nbits -= l
 	}
 	return out, nil
 }

@@ -266,12 +266,13 @@ func (e *Engine) Autotuned() bool { return e.autotuned }
 func (e *Engine) SetVerifyRelease(on bool) { e.verifyRelease = on }
 
 // decodeForCache builds the decode thunk for model.Layers[idx] that the
-// cache runs on a miss (demand or prefetch): decode, record the density
-// observation, compact to CSR below the sparse threshold, and report the
-// resident byte cost the budget is charged.
+// cache runs on a miss (demand or prefetch): decode straight into the
+// resident form — CSR below the sparse threshold, dense otherwise —
+// record the density observation, and report the resident byte cost the
+// budget is charged.
 func (e *Engine) decodeForCache(idx int) func() (*core.DecodedLayer, int64, error) {
 	return func() (*core.DecodedLayer, int64, error) {
-		dl, err := e.model.DecodeLayer(e.model.Layers[idx].Name)
+		dl, err := e.model.DecodeLayer(e.model.Layers[idx].Name, e.thresholdFor(idx))
 		if err != nil {
 			var ce *core.CorruptError
 			if errors.As(err, &ce) {
@@ -289,20 +290,18 @@ func (e *Engine) decodeForCache(idx int) func() (*core.DecodedLayer, int64, erro
 			// when present) on the way here.
 			e.integOK.Add(1)
 		}
-		density := dl.Density()
-		dl.Compact(e.thresholdFor(idx))
-		e.obs[idx].Store(&layerObs{density: density, sparse: dl.Sparse != nil, resident: dl.ResidentBytes()})
+		e.obs[idx].Store(&layerObs{density: dl.Density, sparse: dl.Sparse != nil, resident: dl.ResidentBytes()})
 		e.codecBytes[e.model.Layers[idx].Codec].Add(uint64(e.model.Layers[idx].DenseBytes()))
 		return dl, dl.ResidentBytes(), nil
 	}
 }
 
 // LayerWeights implements nn.WeightProvider over the decode cache. A
-// decoded layer below the sparse threshold is compacted to CSR before
-// insertion, so it is charged to the budget (and handed to the kernels)
-// in its cheap form. The returned release drops the entry's eviction pin;
-// ForwardWithProvider calls it when the layer's kernel finishes, so
-// prefetch of layer k+1 can never displace layer k mid-forward.
+// layer below the sparse threshold is decoded to CSR, so it is charged to
+// the budget (and handed to the kernels) in its cheap form. The returned
+// release drops the entry's eviction pin; ForwardWithProvider calls it
+// when the layer's kernel finishes, so prefetch of layer k+1 can never
+// displace layer k mid-forward.
 func (e *Engine) LayerWeights(layer string) (nn.LayerWeights, func(), error) {
 	lw, rel, _, _, err := e.layerWeightsTimed(layer, nil)
 	return lw, rel, err

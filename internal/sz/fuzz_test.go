@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/tensor"
@@ -46,6 +47,21 @@ func TestDecompressSurvivesTruncation(t *testing.T) {
 			}()
 			_, _ = Decompress(blob[:cut])
 		}()
+	}
+}
+
+// TestDecompressRejectsShortHeader cuts a valid blob at every length below
+// the 36-byte header, with capacity equal to length so that a read past the
+// cut panics instead of quietly landing in the bytes behind it.
+func TestDecompressRejectsShortHeader(t *testing.T) {
+	blob, err := Compress(weightLike(tensor.NewRNG(5), 64), Options{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 36; n++ {
+		if _, err := Decompress(blob[:n:n]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d-byte blob: got %v, want ErrCorrupt", n, err)
+		}
 	}
 }
 

@@ -351,7 +351,7 @@ func unpackBits(b []byte, n int) []byte {
 
 // Decompress reverses Compress.
 func Decompress(blob []byte) ([]float32, error) {
-	if len(blob) < 32 {
+	if len(blob) < 36 { // the fixed header, payload length included
 		return nil, ErrCorrupt
 	}
 	if binary.LittleEndian.Uint32(blob[0:4]) != magic {
