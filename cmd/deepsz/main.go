@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -254,6 +255,10 @@ func cmdEncode(args []string) error {
 	for _, c := range res.Plan.Choices {
 		fmt.Printf("  %s: eb %.0e, %d B data + %d B index\n", c.Layer, c.EB, c.DataBytes, c.IndexBytes)
 	}
+	const tick = 10 * time.Microsecond
+	fmt.Printf("time: assess %v (%d tests), optimize %v, generate %v, verify %v\n",
+		res.AssessTime.Round(tick), res.Assessment.Tests, res.OptimizeTime.Round(tick),
+		res.GenerateTime.Round(tick), res.VerifyTime.Round(tick))
 	return os.WriteFile(*out, res.Model.Marshal(), 0o644)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
@@ -67,106 +68,195 @@ type Assessment struct {
 // Assess runs Algorithm 1 (error bound assessment) over every selected
 // weighted layer of net (cfg.Layers: fc only by default, or all), which
 // must already be pruned and mask-retrained. test supplies the
-// inference-accuracy measurements.
+// inference-accuracy measurements. net is only read.
 func Assess(net *nn.Network, test *dataset.Set, cfg Config) (*Assessment, error) {
+	a, _, err := assess(net, test, cfg)
+	return a, err
+}
+
+// assessed is one layer under assessment with what its tests need: where it
+// sits in the network, what it receives there, and its untouched bias.
+type assessed struct {
+	*LayerAssessment
+	pos   int            // index in net.Layers
+	input *tensor.Tensor // [N, ...] activations entering the layer, pruned weights in front of it
+	bias  []float32      // the layer's live bias, read-only
+}
+
+// testWeights is the weight provider of one accuracy test: every assessed
+// layer at its pruned weights, except that layer (when set) reads lw — the
+// paper's "exactly one layer reconstructed at a time". pruned is built once
+// and shared read-only by every test; layers outside the selection are not
+// provided and run on the network's own parameters.
+type testWeights struct {
+	pruned map[string]nn.LayerWeights
+	layer  string
+	lw     nn.LayerWeights
+}
+
+// LayerWeights implements nn.WeightProvider.
+func (t *testWeights) LayerWeights(name string) (nn.LayerWeights, func(), error) {
+	if name == t.layer {
+		return t.lw, nil, nil
+	}
+	if lw, ok := t.pruned[name]; ok {
+		return lw, nil, nil
+	}
+	return nn.LayerWeights{}, nil, nn.ErrNotProvided
+}
+
+// assess is Assess, also handing back the activations entering the first
+// assessed layer (layer Split) so Encode can verify its output without
+// re-running the layers in front of it.
+func assess(net *nn.Network, test *dataset.Set, cfg Config) (*Assessment, *tensor.Tensor, error) {
 	if err := (&cfg).fill(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	selected := selectLayers(net, cfg.Layers)
 	if len(selected) == 0 {
-		return nil, fmt.Errorf("core: network %q has no %s layers to compress", net.Name(), cfg.Layers)
+		return nil, nil, fmt.Errorf("core: network %q has no %s layers to compress", net.Name(), cfg.Layers)
 	}
-	// The feature cache covers the prefix before the first assessed layer:
-	// those layers are never reconstructed, so their activations are
-	// computed once and reused by every error-bound test.
-	split := net.LayerIndex(selected[0].Name())
-	features := net.FeatureCache(split, test, cfg.TestBatch)
-	baseline := net.EvaluateFrom(split, features, test, cfg.TestBatch)
+	cdc, err := codec.ByID(cfg.Codec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err) // unreachable: fill() validated it
+	}
 
-	a := &Assessment{NetName: net.Name(), Baseline: baseline, Split: split}
-	for _, cl := range selected {
+	a := &Assessment{NetName: net.Name()}
+	layers := make([]assessed, len(selected))
+	at := make([]int, len(selected))
+	pruned := make(map[string]nn.LayerWeights, len(selected))
+	for i, cl := range selected {
 		sp := prune.Encode(cl.Weights())
-		comp, blob := lossless.Best(indexBytes(sp))
-		a.Layers = append(a.Layers, &LayerAssessment{
+		comp, blob := lossless.Best(sp.Index)
+		la := &LayerAssessment{
 			Layer:           cl.Name(),
 			Kind:            cl.Kind(),
 			Shape:           append([]int(nil), cl.WeightShape()...),
 			Sparse:          sp,
 			IndexBytes:      len(blob),
 			IndexCompressor: comp.ID(),
-		})
+		}
+		a.Layers = append(a.Layers, la)
+		at[i] = net.LayerIndex(cl.Name())
+		layers[i] = assessed{LayerAssessment: la, pos: at[i], bias: cl.BiasParam().W.Data}
+		if pruned[la.Layer], err = layers[i].weights(sp.Data); err != nil {
+			return nil, nil, err
+		}
+	}
+	a.Split = at[0]
+
+	// The feature cache: one chained forward with the pruned weights records
+	// what every assessed layer receives, so a test of layer k runs layers
+	// [k, end) only — the layers in front of it are the same in every test.
+	// The same pass yields the baseline accuracy.
+	inputs, baseline, err := net.LayerInputs(at, test, cfg.TestBatch, &testWeights{pruned: pruned})
+	if err != nil {
+		return nil, nil, err
+	}
+	a.Baseline = baseline
+	for i := range layers {
+		layers[i].input = inputs[i]
 	}
 
-	// Layers are assessed concurrently; each worker owns a private clone of
-	// the suffix from Split onward so weight swaps cannot race.
-	workers := cfg.Workers
-	if workers > len(a.Layers) {
-		workers = len(a.Layers)
-	}
+	// Layers are assessed concurrently. Workers share the network, the
+	// caches and the pruned weights, all read-only; what a test changes —
+	// one layer's reconstructed weights — is private to it.
+	run := &assessRun{net: net, test: test, pruned: pruned, cdc: cdc, baselineTop1: baseline.Top1, cfg: cfg}
+	workers := min(cfg.Workers, len(layers))
+	tests := make([]int, len(layers))
+	errs := make([]error, len(layers))
+	var failed atomic.Bool
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	totalTests := 0
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			suffix := net.CloneRange(split, len(net.Layers))
 			for li := range jobs {
-				n := assessLayer(suffix, features, test, a.Layers[li], baseline.Top1, cfg)
-				mu.Lock()
-				totalTests += n
-				mu.Unlock()
+				if failed.Load() {
+					continue // handed out while another layer was failing
+				}
+				tests[li], errs[li] = run.assessLayer(&layers[li])
+				if errs[li] != nil {
+					failed.Store(true)
+				}
 			}
 		}()
 	}
-	for li := range a.Layers {
+	for li := range layers {
+		if failed.Load() {
+			break // a layer failed: the sweeps still running finish, no new one starts
+		}
 		jobs <- li
 	}
 	close(jobs)
 	wg.Wait()
-	a.Tests = totalTests
-	return a, nil
+	for li, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+		a.Tests += tests[li]
+	}
+	return a, inputs[0], nil
 }
 
-// indexBytes converts a sparse index array to raw bytes for lossless coding.
-func indexBytes(sp *prune.Sparse) []byte {
-	b := make([]byte, len(sp.Index))
-	copy(b, sp.Index)
-	return b
+// weights reconstructs the layer from its index array and a data array —
+// the pruned one, or one a codec returned — straight into the form the
+// forward consumes: CSR below SparseThreshold, dense otherwise, by the walk
+// that decodes a stored layer (DecodedLayer.reconstruct).
+func (l *assessed) weights(data []float32) (nn.LayerWeights, error) {
+	if len(data) != len(l.Sparse.Index) {
+		return nn.LayerWeights{}, fmt.Errorf("core: layer %s: %d data values for %d indices", l.Layer, len(data), len(l.Sparse.Index))
+	}
+	dl := DecodedLayer{Shape: l.Shape}
+	if err := dl.reconstruct(&LayerBlob{Name: l.Layer, Shape: l.Shape}, l.Sparse.Index, data, SparseThreshold); err != nil {
+		return nn.LayerWeights{}, err
+	}
+	return nn.LayerWeights{Dense: dl.Weights, Sparse: dl.Sparse, Bias: l.bias}, nil
+}
+
+// assessRun is what every accuracy test of one Assess call reads and none
+// writes.
+type assessRun struct {
+	net          *nn.Network
+	test         *dataset.Set
+	pruned       map[string]nn.LayerWeights // every assessed layer at its pruned weights
+	cdc          codec.Codec
+	baselineTop1 float64
+	cfg          Config
 }
 
 // assessLayer implements Algorithm 1's per-layer loop and returns the number
 // of accuracy tests performed.
-func assessLayer(suffix *nn.Network, features *tensor.Tensor, test *dataset.Set,
-	la *LayerAssessment, baselineTop1 float64, cfg Config) int {
-
-	cl := findCompressible(suffix, la.Layer)
-	original := append([]float32(nil), cl.Weights()...)
-	defer cl.SetWeights(original)
-
+func (r *assessRun) assessLayer(l *assessed) (int, error) {
+	la, cfg := l.LayerAssessment, r.cfg
 	tests := 0
 	seen := map[float64]Point{}
-	try := func(eb float64) Point {
+	try := func(eb float64) (Point, error) {
 		if p, ok := seen[eb]; ok {
-			return p
+			return p, nil
 		}
-		p := measure(suffix, features, test, cl, la.Sparse, eb, baselineTop1, cfg)
-		cl.SetWeights(original)
+		p, err := r.measure(l, eb)
+		if err != nil {
+			return Point{}, fmt.Errorf("core: assessing %s at eb %g: %w", la.Layer, eb, err)
+		}
 		seen[eb] = p
 		tests++
-		return p
+		return p, nil
 	}
 
 	// A codec without error control (deepcomp) produces the same blob and
 	// degradation at every grid point: one measurement describes the whole
 	// sweep, so skip it rather than re-clustering and re-evaluating the
 	// suffix once per bound.
-	if cdc, err := codec.ByID(cfg.Codec); err == nil && !cdc.ErrorBounded() {
-		p := try(cfg.StartErrorBound)
+	if !r.cdc.ErrorBounded() {
+		p, err := try(cfg.StartErrorBound)
+		if err != nil {
+			return tests, err
+		}
 		la.FeasibleLo, la.FeasibleHi = p.EB, p.EB
 		la.Points = []Point{p}
-		return tests
+		return tests, nil
 	}
 
 	// Coarse sweep (Algorithm 1 lines 13–19): walk decades from the start
@@ -175,7 +265,10 @@ func assessLayer(suffix *nn.Network, features *tensor.Tensor, test *dataset.Set,
 	base := cfg.StartErrorBound
 	tripped := false
 	for beta := cfg.StartErrorBound; beta <= cfg.MaxErrorBound*1.0001; beta *= 10 {
-		p := try(beta)
+		p, err := try(beta)
+		if err != nil {
+			return tests, err
+		}
 		if p.Degradation > cfg.DistortionCriterion {
 			base = beta / 10
 			tripped = true
@@ -194,7 +287,10 @@ func assessLayer(suffix *nn.Network, features *tensor.Tensor, test *dataset.Set,
 	la.FeasibleLo = base
 	eb := base
 	for {
-		p := try(eb)
+		p, err := try(eb)
+		if err != nil {
+			return tests, err
+		}
 		if p.Degradation > cfg.ExpectedAccuracyLoss {
 			break
 		}
@@ -217,40 +313,32 @@ func assessLayer(suffix *nn.Network, features *tensor.Tensor, test *dataset.Set,
 		la.Points = append(la.Points, p)
 	}
 	sort.Slice(la.Points, func(i, j int) bool { return la.Points[i].EB < la.Points[j].EB })
-	return tests
+	return tests, nil
 }
 
-// measure compresses the layer's data array at eb with the configured
-// codec, reconstructs the layer, and evaluates the suffix network. The
-// suffix's weights are left modified; the caller restores them.
-func measure(suffix *nn.Network, features *tensor.Tensor, test *dataset.Set,
-	cl nn.Compressible, sp *prune.Sparse, eb, baselineTop1 float64, cfg Config) Point {
-
-	cdc, err := codec.ByID(cfg.Codec)
+// measure is one accuracy test: compress the layer's data array at eb,
+// decompress it, reconstruct the layer's weights from (index, decompressed
+// data), and evaluate layers [l.pos, end) on the cached input through the
+// serving forward — this layer at the reconstructed weights, every other
+// assessed layer at its shared pruned ones. Nothing outside the call is
+// written.
+func (r *assessRun) measure(l *assessed, eb float64) (Point, error) {
+	blob, err := r.cdc.Compress(l.Sparse.Data, r.cfg.codecOptions(eb))
 	if err != nil {
-		panic(fmt.Sprintf("core: assessment codec missing: %v", err)) // fill() validated it
+		return Point{}, fmt.Errorf("compress: %w", err)
 	}
-	blob, err := cdc.Compress(sp.Data, cfg.codecOptions(eb))
+	dec, err := r.cdc.Decompress(blob)
 	if err != nil {
-		panic(fmt.Sprintf("core: assessment compression failed: %v", err))
+		return Point{}, fmt.Errorf("decompress: %w", err)
 	}
-	dec, err := cdc.Decompress(blob)
+	lw, err := l.weights(dec)
 	if err != nil {
-		panic(fmt.Sprintf("core: assessment decompression failed: %v", err))
+		return Point{}, err
 	}
-	recon := &prune.Sparse{N: sp.N, Data: dec, Index: sp.Index}
-	dense, err := recon.Decode()
+	acc, err := r.net.EvaluateFromWith(l.pos, l.input, r.test, r.cfg.TestBatch,
+		&testWeights{pruned: r.pruned, layer: l.Layer, lw: lw})
 	if err != nil {
-		panic(fmt.Sprintf("core: sparse reconstruction failed: %v", err))
+		return Point{}, err
 	}
-	cl.SetWeights(dense)
-	acc := suffix.EvaluateFrom(0, features, test, cfg.TestBatch)
-	return Point{EB: eb, Degradation: baselineTop1 - acc.Top1, DataBytes: len(blob)}
-}
-
-func findCompressible(net *nn.Network, name string) nn.Compressible {
-	if cl := net.CompressibleByName(name); cl != nil {
-		return cl
-	}
-	panic(fmt.Sprintf("core: layer %q not found in suffix", name))
+	return Point{EB: eb, Degradation: r.baselineTop1 - acc.Top1, DataBytes: len(blob)}, nil
 }

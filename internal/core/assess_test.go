@@ -1,10 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/prune"
 	"repro/internal/tensor"
@@ -158,6 +163,196 @@ func TestAssessParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("%s point %d: %+v vs %+v", s.Layer, i, s.Points[i], p.Points[i])
 			}
 		}
+	}
+}
+
+// assessZooBatch divides neither test-set size assessZoo uses.
+const assessZooBatch = 5
+
+// assessZoo returns the four evaluation networks, briefly trained and with
+// every weighted layer pruned (fc at the paper's ratios; conv on either
+// side of SparseThreshold, so the test loop's conv layers run both the CSR
+// and the dense kernel), each with a test set whose last batch (of
+// assessZooBatch) is ragged.
+func assessZoo(t *testing.T) map[string]*models.Trained {
+	t.Helper()
+	trainN, testN := 192, 24
+	if raceEnabled {
+		trainN, testN = 64, 8
+	}
+	convKeep := map[string]float64{models.LeNet300: 0.3, models.LeNet5: 0.3, models.AlexNetS: 0.5, models.VGG16S: 0.3}
+	zoo := map[string]*models.Trained{}
+	for _, name := range models.All() {
+		rng := tensor.NewRNG(7)
+		net, err := models.Build(name, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, test, err := models.DataFor(name, trainN, testN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nn.Train(net, train, nn.NewSGD(0.05, 0.9, 1e-4), nn.TrainConfig{Epochs: 1, BatchSize: 32}, rng)
+		prune.NetworkAll(net, prune.PaperRatios(name), 0.1, convKeep[name])
+		zoo[name] = &models.Trained{Net: net, Test: test}
+	}
+	return zoo
+}
+
+// TestAssessMatchesReference holds the assessment on the serving forward —
+// per-layer input caches, weights reconstructed straight into CSR, shared
+// pruned CSR for the layers behind — to the one it replaced (referenceAssess:
+// clone the suffix, prune.Sparse.Decode, SetWeights, dense EvaluateFrom):
+// baseline, test count, every point and the feasible range must be equal
+// exactly, for every net, codec, layer selection and worker count. The same
+// matrix checks Encode's verification from the cached activations against a
+// full evaluation of the reconstructed network.
+func TestAssessMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training in -short mode")
+	}
+	zoo := assessZoo(t)
+	for _, name := range models.All() {
+		net, test := zoo[name].Net, zoo[name].Test
+		for _, codecName := range codec.Names() {
+			cdc, err := codec.ByName(codecName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cdc.ID() == (flakyCodec{}).ID() {
+				continue // SZ again, under the test's identifier
+			}
+			for _, sel := range []LayerSelection{LayersFC, LayersAll} {
+				cfg := Config{
+					Layers:               sel,
+					ExpectedAccuracyLoss: 0.05,
+					DistortionCriterion:  0.005,
+					StartErrorBound:      1e-2, // one coarse decade fewer: the reference pays a dense conv pass per test
+					TestBatch:            assessZooBatch,
+					Codec:                cdc.ID(),
+				}
+				want, err := referenceAssess(net, test, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 4} {
+					cfg.Workers = workers
+					t.Run(fmt.Sprintf("%s/%s/%s/workers=%d", name, codecName, sel, workers), func(t *testing.T) {
+						res, err := Encode(net, test, cfg)
+						if errors.Is(err, ErrInfeasible) {
+							// No plan within the budget: nothing to verify, but
+							// the assessment still has to agree.
+							got, err := Assess(net, test, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							checkAssessmentsEqual(t, got, want)
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkAssessmentsEqual(t, res.Assessment, want)
+						recon := net.Clone()
+						if _, err := res.Model.Apply(recon); err != nil {
+							t.Fatal(err)
+						}
+						if full := recon.Evaluate(test, cfg.TestBatch); res.After != full {
+							t.Fatalf("After from cached activations %+v, full evaluation %+v", res.After, full)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkAssessmentsEqual(t *testing.T, got, want *Assessment) {
+	t.Helper()
+	if got.Baseline != want.Baseline || got.Tests != want.Tests || got.Split != want.Split {
+		t.Fatalf("baseline/tests/split %+v/%d/%d, reference %+v/%d/%d",
+			got.Baseline, got.Tests, got.Split, want.Baseline, want.Tests, want.Split)
+	}
+	if len(got.Layers) != len(want.Layers) {
+		t.Fatalf("%d layers, reference %d", len(got.Layers), len(want.Layers))
+	}
+	for i, w := range want.Layers {
+		g := got.Layers[i]
+		if g.Layer != w.Layer || g.FeasibleLo != w.FeasibleLo || g.FeasibleHi != w.FeasibleHi ||
+			g.IndexBytes != w.IndexBytes || g.IndexCompressor != w.IndexCompressor {
+			t.Fatalf("layer %s [%g, %g] index %d/%v, reference %s [%g, %g] index %d/%v",
+				g.Layer, g.FeasibleLo, g.FeasibleHi, g.IndexBytes, g.IndexCompressor,
+				w.Layer, w.FeasibleLo, w.FeasibleHi, w.IndexBytes, w.IndexCompressor)
+		}
+		if len(g.Points) != len(w.Points) {
+			t.Fatalf("%s: %d points, reference %d", w.Layer, len(g.Points), len(w.Points))
+		}
+		for j := range w.Points {
+			if g.Points[j] != w.Points[j] {
+				t.Fatalf("%s point %d: %+v, reference %+v", w.Layer, j, g.Points[j], w.Points[j])
+			}
+		}
+	}
+}
+
+// flakyCodec is SZ under another identifier whose Decompress fails while
+// failing is set. Registered once for the test binary (the registry has no
+// removal), it behaves as a sound codec for every test that walks
+// codec.Names().
+type flakyCodec struct{ codec.Codec }
+
+var flaky = struct {
+	failing     atomic.Bool
+	decompress  atomic.Int64 // Decompress calls made while failing
+	errInjected error
+}{errInjected: errors.New("flaky: injected decompress failure")}
+
+func (flakyCodec) ID() codec.ID { return 201 }
+func (flakyCodec) Name() string { return "test-flaky" }
+func (c flakyCodec) Decompress(blob []byte) ([]float32, error) {
+	if flaky.failing.Load() {
+		flaky.decompress.Add(1)
+		return nil, flaky.errInjected
+	}
+	return c.Codec.Decompress(blob)
+}
+
+func init() {
+	if err := codec.Register(flakyCodec{codec.Default()}); err != nil {
+		panic(err)
+	}
+}
+
+// TestAssessReturnsCodecError: a codec failure inside a worker goroutine
+// comes back from Assess as an error naming the layer and the bound — it
+// used to panic there and take the process down — and no further layer is
+// started once one has failed.
+func TestAssessReturnsCodecError(t *testing.T) {
+	net := prunedMLP(61)
+	test := dataset.SynthMNIST(40, 33)
+	cfg := assessCfg()
+	cfg.Codec = flakyCodec{}.ID()
+	cfg.TestBatch = 20
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		flaky.decompress.Store(0)
+		flaky.failing.Store(true)
+		_, err := Assess(net, test, cfg)
+		flaky.failing.Store(false)
+		if !errors.Is(err, flaky.errInjected) {
+			t.Fatalf("workers=%d: Assess returned %v, want the codec's error", workers, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "ip1") || !strings.Contains(msg, "eb 0.001") {
+			t.Fatalf("workers=%d: error %q does not name the layer and the bound", workers, msg)
+		}
+		// Each sweep stops at its first failed test; one worker never
+		// reaches the second layer.
+		if calls := flaky.decompress.Load(); calls > int64(workers) || (workers == 1 && calls != 1) {
+			t.Fatalf("workers=%d: %d decompress calls after the first failure", workers, calls)
+		}
+	}
+	if _, err := Assess(net, test, cfg); err != nil {
+		t.Fatalf("the same codec, not failing: %v", err)
 	}
 }
 

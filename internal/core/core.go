@@ -109,8 +109,8 @@ type Config struct {
 	TestBatch int
 
 	// Workers bounds assessment and generation parallelism (default
-	// GOMAXPROCS); each assessment worker owns a private clone of the
-	// network's assessed suffix, mirroring the paper's embarrassingly parallel
+	// GOMAXPROCS): assessment workers each sweep one layer at a time over
+	// shared read-only state, mirroring the paper's embarrassingly parallel
 	// multi-GPU testing, while generation workers compress whole layers
 	// independently. Decoding is bounded separately: Model.DecodeWith
 	// takes an explicit worker count (Decode uses GOMAXPROCS).

@@ -579,7 +579,7 @@ func generateLayer(cl nn.Compressible, c Choice, cfg Config) (LayerBlob, error) 
 	if err != nil {
 		return LayerBlob{}, fmt.Errorf("core: compressing %s: %w", cl.Name(), err)
 	}
-	comp, idxBlob := lossless.Best(indexBytes(sp))
+	comp, idxBlob := lossless.Best(sp.Index)
 	blob := LayerBlob{
 		Name:        cl.Name(),
 		Kind:        cl.Kind(),

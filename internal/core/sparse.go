@@ -15,6 +15,15 @@ import (
 // kernels are bit-identical to the dense ones, so format is purely a
 // residency decision.
 
+// SparseThreshold is the decoded-layer density below which a layer is kept
+// in CSR form — by serving engines at their default (serve's
+// DefaultSparseThreshold is this constant) and by the assessment's test
+// loop. 0.35 sits under the CSR kernels' measured speed break-even
+// (~0.3–0.5 density on the fc SpMM), so the sparse path only engages where
+// it is faster AND smaller; at the paper's ~10% densities it is ~3× faster
+// and ~8× smaller than the dense form.
+const SparseThreshold = 0.35
+
 // matDims returns the 2-D matrix view of the layer's weight shape: rows =
 // Shape[0], cols = the product of the remaining dimensions ([out, in] for
 // fc; [outC, inC·k·k] for conv — the im2col layout).

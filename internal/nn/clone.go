@@ -7,9 +7,9 @@ import (
 )
 
 // CloneLayer deep-copies a layer's parameters (masks are shared read-only;
-// cached activations are not copied). Clones let the DeepSZ assessment step
-// evaluate many error bounds concurrently, each worker owning a private copy
-// of the fc suffix.
+// cached activations are not copied). Clones give a caller weights it may
+// overwrite — Encode's verification, the evaluation figures' error-bound
+// sweeps — without touching the network it was handed.
 func CloneLayer(l Layer) Layer {
 	switch v := l.(type) {
 	case *Dense:

@@ -27,9 +27,9 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return n.ForwardRange(0, len(n.Layers), x, train)
 }
 
-// ForwardRange runs layers [from, to) on x. It underpins the assessment
-// feature cache: the conv prefix is evaluated once, then each error-bound
-// test reruns only the fc suffix.
+// ForwardRange runs layers [from, to) on x with the network's own weights.
+// It underpins FeatureCache and EvaluateFrom: a prefix evaluated once, a
+// suffix evaluated from its cached output.
 func (n *Network) ForwardRange(from, to int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if from < 0 || to > len(n.Layers) || from > to {
 		panic(fmt.Sprintf("nn: ForwardRange [%d,%d) of %d layers", from, to, len(n.Layers)))
@@ -127,34 +127,11 @@ func (n *Network) Evaluate(ds *dataset.Set, batchSize int) Accuracy {
 // non-nil it is used as the input to layer `from` (one row per example,
 // shape [N, ...]); otherwise the raw images are used (and from must be 0).
 func (n *Network) EvaluateFrom(from int, features *tensor.Tensor, ds *dataset.Set, batchSize int) Accuracy {
-	total := ds.Len()
-	if features != nil && features.Shape[0] != total {
-		panic("nn: feature cache size mismatch")
-	}
-	if batchSize <= 0 {
-		batchSize = 100
-	}
+	total, batchSize := evalSizes(features, ds, batchSize)
 	var top1, top5 int
 	for lo := 0; lo < total; lo += batchSize {
-		hi := lo + batchSize
-		if hi > total {
-			hi = total
-		}
-		var x *tensor.Tensor
-		var labels []int
-		if features != nil {
-			rowSz := features.Len() / features.Shape[0]
-			x = tensor.FromSlice(features.Data[lo*rowSz:hi*rowSz], append([]int{hi - lo}, features.Shape[1:]...)...)
-			labels = ds.Labels[lo:hi]
-		} else {
-			idx := make([]int, hi-lo)
-			for i := range idx {
-				idx[i] = lo + i
-			}
-			x, labels = ds.Batch(idx)
-		}
-		logits := n.ForwardRange(from, len(n.Layers), x, false)
-		t1, t5 := countTopK(logits, labels)
+		x, labels := evalBatch(features, ds, lo, min(lo+batchSize, total))
+		t1, t5 := countTopK(n.ForwardRange(from, len(n.Layers), x, false), labels)
 		top1 += t1
 		top5 += t5
 	}
@@ -162,6 +139,35 @@ func (n *Network) EvaluateFrom(from int, features *tensor.Tensor, ds *dataset.Se
 		Top1: float64(top1) / float64(total),
 		Top5: float64(top5) / float64(total),
 	}
+}
+
+// evalSizes validates a feature cache against ds and applies the default
+// evaluation batch size (100).
+func evalSizes(features *tensor.Tensor, ds *dataset.Set, batchSize int) (total, batch int) {
+	total = ds.Len()
+	if features != nil && features.Shape[0] != total {
+		panic("nn: feature cache size mismatch")
+	}
+	if batchSize <= 0 {
+		batchSize = 100
+	}
+	return total, batchSize
+}
+
+// evalBatch returns the input and labels of examples [lo, hi): those rows
+// of features when it is non-nil (a view, not a copy), the raw images
+// otherwise.
+func evalBatch(features *tensor.Tensor, ds *dataset.Set, lo, hi int) (*tensor.Tensor, []int) {
+	if features != nil {
+		rowSz := features.Len() / features.Shape[0]
+		x := tensor.FromSlice(features.Data[lo*rowSz:hi*rowSz], append([]int{hi - lo}, features.Shape[1:]...)...)
+		return x, ds.Labels[lo:hi]
+	}
+	idx := make([]int, hi-lo)
+	for i := range idx {
+		idx[i] = lo + i
+	}
+	return ds.Batch(idx)
 }
 
 // countTopK returns the number of rows whose label is the argmax (top-1) and
@@ -193,31 +199,27 @@ func countTopK(logits *tensor.Tensor, labels []int) (top1, top5 int) {
 }
 
 // FeatureCache precomputes activations of layers [0, upto) for every example
-// in ds, to be fed to EvaluateFrom(upto, ...). This is the assessment-time
-// optimisation described in DESIGN.md §4.
+// in ds, to be fed to EvaluateFrom(upto, ...): the input of one layer, from
+// the network's own weights. LayerInputs is the several-layer form the
+// assessment uses (DESIGN.md §4).
 func (n *Network) FeatureCache(upto int, ds *dataset.Set, batchSize int) *tensor.Tensor {
-	if batchSize <= 0 {
-		batchSize = 100
-	}
-	total := ds.Len()
+	total, batchSize := evalSizes(nil, ds, batchSize)
 	var out *tensor.Tensor
-	var rowSz int
 	for lo := 0; lo < total; lo += batchSize {
-		hi := lo + batchSize
-		if hi > total {
-			hi = total
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		x, _ := ds.Batch(idx)
-		f := n.ForwardRange(0, upto, x, false)
-		if out == nil {
-			rowSz = f.Len() / f.Shape[0]
-			out = tensor.New(append([]int{total}, f.Shape[1:]...)...)
-		}
-		copy(out.Data[lo*rowSz:hi*rowSz], f.Data)
+		hi := min(lo+batchSize, total)
+		x, _ := evalBatch(nil, ds, lo, hi)
+		out = storeRows(out, total, lo, hi, n.ForwardRange(0, upto, x, false))
 	}
 	return out
+}
+
+// storeRows copies a batch's activations f into rows [lo, hi) of the
+// [total, ...] cache, allocating it from f's per-row shape on the first batch.
+func storeRows(cache *tensor.Tensor, total, lo, hi int, f *tensor.Tensor) *tensor.Tensor {
+	if cache == nil {
+		cache = tensor.New(append([]int{total}, f.Shape[1:]...)...)
+	}
+	rowSz := f.Len() / f.Shape[0]
+	copy(cache.Data[lo*rowSz:hi*rowSz], f.Data)
+	return cache
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/dataset"
 	"repro/internal/tensor"
 )
 
@@ -112,10 +113,10 @@ func (d *Dense) ForwardInference(x *tensor.Tensor, lw LayerWeights, fuseReLU boo
 // ForwardWithProvider runs an inference-mode forward pass, sourcing every
 // compressible (fc and conv) layer's weights from p — dispatching to the
 // sparse kernel when the provider hands back CSR weights. Layers for
-// which p reports ErrNotProvided fall back to their own parameters. Other
-// layers run normally, so the network value itself must not be shared
-// across concurrent calls (use clones); the provider and the supplied
-// weights may be shared.
+// which p reports ErrNotProvided fall back to their own parameters. An
+// inference-mode Forward writes no layer state, so the network, the
+// provider and the supplied weights may all be shared across concurrent
+// calls as long as nothing trains or re-weights the network meanwhile.
 //
 // Two serving optimisations ride on this loop, neither visible in the
 // output bits: a ReLU layer directly after a provided compressible layer
@@ -127,6 +128,17 @@ func (d *Dense) ForwardInference(x *tensor.Tensor, lw LayerWeights, fuseReLU boo
 // allocating per layer. The returned tensor may be pool-backed but is
 // never recycled here; ownership passes to the caller.
 func (n *Network) ForwardWithProvider(x *tensor.Tensor, p WeightProvider) (*tensor.Tensor, error) {
+	return n.ForwardRangeWithProvider(0, len(n.Layers), x, p)
+}
+
+// ForwardRangeWithProvider is ForwardWithProvider over layers [from, to):
+// x is the input of layer from, the result the input of layer to. A ReLU
+// is fused only when it lies inside the range. With from == to the result
+// is x itself.
+func (n *Network) ForwardRangeWithProvider(from, to int, x *tensor.Tensor, p WeightProvider) (*tensor.Tensor, error) {
+	if from < 0 || to > len(n.Layers) || from > to {
+		panic(fmt.Sprintf("nn: ForwardRangeWithProvider [%d,%d) of %d layers", from, to, len(n.Layers)))
+	}
 	var pooled *tensor.Tensor // last pooled intermediate not yet recycled
 	step := func(y *tensor.Tensor) {
 		// Recycle the previous pooled buffer once the pipeline has moved
@@ -138,7 +150,7 @@ func (n *Network) ForwardWithProvider(x *tensor.Tensor, p WeightProvider) (*tens
 			pooled = nil
 		}
 	}
-	for i := 0; i < len(n.Layers); i++ {
+	for i := from; i < to; i++ {
 		l := n.Layers[i]
 		c, ok := l.(Compressible)
 		if !ok {
@@ -158,7 +170,7 @@ func (n *Network) ForwardWithProvider(x *tensor.Tensor, p WeightProvider) (*tens
 			return nil, fmt.Errorf("nn: %s: %w", c.Name(), err)
 		}
 		fuse := false
-		if i+1 < len(n.Layers) {
+		if i+1 < to {
 			_, fuse = n.Layers[i+1].(*ReLU)
 		}
 		y := c.ForwardInference(x, lw, fuse)
@@ -173,6 +185,69 @@ func (n *Network) ForwardWithProvider(x *tensor.Tensor, p WeightProvider) (*tens
 		x = y
 	}
 	return x, nil
+}
+
+// EvaluateFromWith is EvaluateFrom on the serving forward: layers
+// [from, end) run through ForwardRangeWithProvider with weights from p.
+// For finite activations and weights the accuracy equals EvaluateFrom's on
+// a network holding the dense form of the same weights, because the
+// logits are bit-identical (the kernel contract in tensor/matmul.go).
+func (n *Network) EvaluateFromWith(from int, features *tensor.Tensor, ds *dataset.Set, batchSize int, p WeightProvider) (Accuracy, error) {
+	acc, _, err := n.evaluateWith([]int{from}, features, ds, batchSize, p)
+	return acc, err
+}
+
+// LayerInputs runs one inference pass of the whole network over ds, weights
+// from p, and records what each layer in at (ascending layer indices)
+// received: one [N, ...] tensor per entry, the features EvaluateFromWith(at[k])
+// takes. It also returns the accuracy of the pass. This is the assessment's
+// feature cache (DESIGN.md §4); it holds Σₖ N·inₖ floats.
+func (n *Network) LayerInputs(at []int, ds *dataset.Set, batchSize int, p WeightProvider) ([]*tensor.Tensor, Accuracy, error) {
+	acc, inputs, err := n.evaluateWith(append([]int{0}, at...), nil, ds, batchSize, p)
+	return inputs, acc, err
+}
+
+// evaluateWith evaluates from layer cuts[0] (whose input is features, or
+// the raw images when nil) to the end, one segment [cuts[k], cuts[k+1]) at
+// a time, and returns the activations crossing every later cut as
+// [N, ...] caches.
+func (n *Network) evaluateWith(cuts []int, features *tensor.Tensor, ds *dataset.Set, batchSize int, p WeightProvider) (Accuracy, []*tensor.Tensor, error) {
+	total, batchSize := evalSizes(features, ds, batchSize)
+	caches := make([]*tensor.Tensor, len(cuts)-1)
+	var top1, top5 int
+	for lo := 0; lo < total; lo += batchSize {
+		hi := min(lo+batchSize, total)
+		x, labels := evalBatch(features, ds, lo, hi)
+		for k, from := range cuts {
+			last := k+1 == len(cuts)
+			to := len(n.Layers)
+			if !last {
+				to = cuts[k+1]
+			}
+			y, err := n.ForwardRangeWithProvider(from, to, x, p)
+			if err != nil {
+				return Accuracy{}, nil, err
+			}
+			// y goes back to the pool once read, unless it is the segment's
+			// own input (an empty range, or view layers only): the caller
+			// still owns that.
+			owned := !sharesStorage(y, x)
+			if last {
+				t1, t5 := countTopK(y, labels)
+				top1 += t1
+				top5 += t5
+			} else {
+				// The next segment reads the cached copy, not y.
+				caches[k] = storeRows(caches[k], total, lo, hi, y)
+				x, _ = evalBatch(caches[k], ds, lo, hi)
+			}
+			if owned {
+				tensor.Recycle(y)
+			}
+		}
+	}
+	acc := Accuracy{Top1: float64(top1) / float64(total), Top5: float64(top5) / float64(total)}
+	return acc, caches, nil
 }
 
 // sharesStorage reports whether two tensors are views over the same

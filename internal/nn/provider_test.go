@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/tensor"
 )
 
@@ -166,5 +167,55 @@ func TestStripDenseWeights(t *testing.T) {
 		if d.W.W.Data != nil || d.W.Grad.Data != nil {
 			t.Fatalf("clone of stripped net reallocated %s storage", d.Name())
 		}
+	}
+}
+
+// TestLayerInputsFeedEvaluateFromWith: the caches LayerInputs records are
+// the activations the plain forward produces at those layers (the first one
+// is FeatureCache's), its accuracy is Evaluate's, and evaluating from any of
+// them through the provider gives that accuracy again — dense or CSR
+// weights, ragged last batch, cuts at the network's first layer, behind a
+// fusable ReLU and on a ReLU itself.
+func TestLayerInputsFeedEvaluateFromWith(t *testing.T) {
+	rng := tensor.NewRNG(21)
+	net := tinyMLP(rng)
+	test := dataset.SynthMNIST(70, 13)
+	want := net.Evaluate(test, 32)
+	for _, sparse := range []bool{false, true} {
+		p := &mapProvider{w: map[string][]float32{}, b: map[string][]float32{}, shape: map[string][]int{}, sparse: sparse}
+		for _, d := range net.DenseLayers() {
+			p.w[d.Name()], p.b[d.Name()], p.shape[d.Name()] = d.W.W.Data, d.B.W.Data, d.WeightShape()
+		}
+		for _, at := range [][]int{{1, 3}, {0, 2, 3}, {3}} {
+			inputs, acc, err := net.LayerInputs(at, test, 32, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acc != want {
+				t.Fatalf("sparse=%v at=%v: pass accuracy %+v, Evaluate %+v", sparse, at, acc, want)
+			}
+			for k, from := range at {
+				ref := net.FeatureCache(from, test, 32)
+				if len(inputs[k].Data) != len(ref.Data) {
+					t.Fatalf("sparse=%v at=%v: input of layer %d has %d values, want %d", sparse, at, from, len(inputs[k].Data), len(ref.Data))
+				}
+				for i := range ref.Data {
+					if inputs[k].Data[i] != ref.Data[i] {
+						t.Fatalf("sparse=%v at=%v: input of layer %d differs from the plain forward at %d", sparse, at, from, i)
+					}
+				}
+				got, err := net.EvaluateFromWith(from, inputs[k], test, 32, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("sparse=%v: evaluating from layer %d gave %+v, want %+v", sparse, from, got, want)
+				}
+			}
+		}
+	}
+	sentinel := errors.New("decode failed")
+	if _, _, err := net.LayerInputs([]int{1}, test, 32, &mapProvider{fail: sentinel}); !errors.Is(err, sentinel) {
+		t.Fatalf("LayerInputs error %v, want the provider's", err)
 	}
 }

@@ -26,11 +26,9 @@ var ErrBadInput = errors.New("serve: bad input")
 var ErrOverloaded = errors.New("serve: overloaded")
 
 // DefaultSparseThreshold is the decoded-layer density below which engines
-// keep the layer in CSR form. 0.35 sits under the CSR kernels' measured
-// speed break-even (~0.3–0.5 density on the fc SpMM), so the sparse path
-// only engages where it is faster AND smaller; at the paper's ~10%
-// densities it is ~3× faster and ~8× smaller than dense residency.
-const DefaultSparseThreshold = 0.35
+// keep the layer in CSR form: core.SparseThreshold, where the value and
+// its rationale live.
+const DefaultSparseThreshold = core.SparseThreshold
 
 // Engine serves one compressed model: forward passes run on a pool of
 // weight-stripped network clones, and every compressed layer's weights (fc
